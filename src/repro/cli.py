@@ -292,6 +292,46 @@ def cmd_monitor(args) -> int:
     return 0
 
 
+def replay(run, runs: int, flight_out: str | None) -> tuple[str, bool]:
+    """Run a seeded campaign ``runs`` times (at least once); byte-compare.
+
+    ``run(flight_out)`` returns one report dict.  Only run 0 gets
+    ``flight_out``: one dump of a deterministic run is all anyone needs,
+    and the dump path is popped from every report so it never enters
+    the compared bytes.  Returns run 0's canonical JSON and whether
+    every run matched it.
+    """
+    from repro.obs import report_json
+
+    outputs = []
+    for index in range(max(1, runs)):
+        report = run(flight_out if index == 0 else None)
+        dump = report.pop("flight_dump", None)
+        if index == 0 and dump:
+            print(f"wrote flight-recorder dump to {dump}")
+        outputs.append(report_json(report))
+    return outputs[0], all(out == outputs[0] for out in outputs[1:])
+
+
+def _write_out(path: str | None, text: str, indent: str = "") -> None:
+    if path:
+        with open(path, "w") as handle:
+            handle.write(text)
+        print(f"{indent}wrote report to {path}")
+
+
+def _determinism_violation() -> int:
+    print("DETERMINISM VIOLATION: reports differ across identical runs")
+    return 1
+
+
+def _failed_invariants(report: dict) -> int:
+    for inv in report["invariants"]:
+        if not inv["ok"]:
+            print(f"FAILED {inv['invariant']}: {inv['detail']}")
+    return 1
+
+
 def cmd_chaos(args) -> int:
     """Run a seeded chaos campaign (twice, by default) and audit it.
 
@@ -300,25 +340,26 @@ def cmd_chaos(args) -> int:
     """
     import json
 
-    from repro.faults.campaign import report_to_json, run_campaign
+    from repro.faults.campaign import run_campaign
 
-    runs = []
-    for _ in range(max(1, args.campaigns)):
-        report = run_campaign(
+    text, identical = replay(
+        lambda flight_out: run_campaign(
             args.seed,
             args.ops,
             intensity=args.intensity,
             monitor=args.monitor,
-            flight_out=args.flight_out,
+            flight_out=flight_out,
             serve=args.serve,
             fleet=args.fleet,
-        )
-        runs.append(report_to_json(report))
-    identical = all(run == runs[0] for run in runs[1:])
-    report = json.loads(runs[0])
+        ),
+        args.campaigns,
+        args.flight_out,
+    )
+    report = json.loads(text)
+    runs = max(1, args.campaigns)
 
     print(f"chaos campaign: seed={args.seed} ops={args.ops} "
-          f"intensity={args.intensity} (x{len(runs)} runs)")
+          f"intensity={args.intensity} (x{runs} runs)")
     print(f"  plan: {len(report['plan'])} fault specs, "
           f"{len(report['fault_events'])} injector events, "
           f"sim clock {report['final_time'] / 60:.1f} min")
@@ -348,25 +389,16 @@ def cmd_chaos(args) -> int:
         print(f"  monitor: {monitor_section['samples']} health samples, "
               f"{slo.get('violation_count', 0)} SLO violation(s), "
               f"{recorder.get('recorded', 0)} flight events")
-        if "flight_dump" in report:
-            print(f"  flight recorder dumped to {report['flight_dump']}")
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(runs[0])
-        print(f"  wrote report to {args.out}")
+    _write_out(args.out, text, indent="  ")
     if not identical:
-        print("DETERMINISM VIOLATION: reports differ across identical runs")
-        return 1
+        return _determinism_violation()
     if report["workload_violations"]:
         print(f"MID-CAMPAIGN VIOLATIONS: {report['workload_violations']}")
         return 1
     if not report["ok"]:
-        for inv in report["invariants"]:
-            if not inv["ok"]:
-                print(f"FAILED {inv['invariant']}: {inv['detail']}")
-        return 1
+        return _failed_invariants(report)
     print(f"  all {len(report['invariants'])} invariants hold; "
-          f"{len(runs)} runs byte-identical")
+          f"{runs} runs byte-identical")
     return 0
 
 
@@ -379,39 +411,29 @@ def cmd_serve(args) -> int:
     """
     import json
 
-    from repro.serve import render_text, report_to_json, run_serve
+    from repro.serve import render_text, run_serve
 
     if args.xl:
         return _cmd_serve_xl(args)
-    runs = []
-    for index in range(max(1, args.runs)):
-        report = run_serve(
+    text, identical = replay(
+        lambda flight_out: run_serve(
             args.seed,
             duration_s=args.duration,
             prepopulate=args.prepopulate,
             backend=args.backend,
             faults=args.faults,
             max_inflight=args.max_inflight,
-            # Dump (and embed) the flight journal on the first run only:
-            # later byte-compared runs must not carry a different path,
-            # and one dump of a deterministic run is all anyone needs.
-            flight_out=args.flight_out if index == 0 else None,
-        )
-        if index == 0 and args.flight_out:
-            print(f"wrote flight-recorder dump to {args.flight_out}")
-            report.pop("flight_dump", None)
-        runs.append(report_to_json(report))
-    identical = all(run == runs[0] for run in runs[1:])
-    report = json.loads(runs[0])
+            flight_out=flight_out,
+        ),
+        args.runs,
+        args.flight_out,
+    )
+    report = json.loads(text)
 
     print(render_text(report))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(runs[0])
-        print(f"wrote report to {args.out}")
+    _write_out(args.out, text)
     if not identical:
-        print("DETERMINISM VIOLATION: reports differ across identical runs")
-        return 1
+        return _determinism_violation()
     if not report["totals"]["ops"]:
         print("EMPTY RUN: no operations were issued")
         return 1
@@ -438,20 +460,21 @@ def _cmd_serve_xl(args) -> int:
     """
     import json
 
-    from repro.serve.xl import report_to_json, run_serve_xl
+    from repro.serve.xl import run_serve_xl
 
-    def one(shards: int) -> str:
-        return report_to_json(run_serve_xl(
-            args.seed, racks=args.racks, shards=shards,
-            duration_s=args.duration,
-        ))
+    def one(shards: int, runs: int) -> tuple[str, bool]:
+        return replay(
+            lambda _flight_out: run_serve_xl(
+                args.seed, racks=args.racks, shards=shards,
+                duration_s=args.duration,
+            ),
+            runs,
+            None,
+        )
 
-    runs = [one(args.shards) for _ in range(max(1, args.runs))]
-    identical = all(run == runs[0] for run in runs[1:])
-    layout_ok = True
-    if args.shards > 1:
-        layout_ok = one(1) == runs[0]
-    report = json.loads(runs[0])
+    text, identical = one(args.shards, args.runs)
+    layout_ok = args.shards <= 1 or one(1, 1)[0] == text
+    report = json.loads(text)
     totals = report["totals"]
     print(f"serve-xl: seed={args.seed} racks={args.racks} "
           f"shards={args.shards} duration={args.duration:.0f}s")
@@ -461,13 +484,9 @@ def _cmd_serve_xl(args) -> int:
     outages = [name for name, entry in report["racks"].items()
                if entry["outage"]]
     print(f"  outages: {', '.join(outages) if outages else 'none'}")
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(runs[0])
-        print(f"wrote report to {args.out}")
+    _write_out(args.out, text)
     if not identical:
-        print("DETERMINISM VIOLATION: reports differ across identical runs")
-        return 1
+        return _determinism_violation()
     if not layout_ok:
         print(f"SHARD-LAYOUT VIOLATION: shards={args.shards} report "
               f"differs from the single-shard report")
@@ -489,11 +508,10 @@ def cmd_preserve(args) -> int:
     """
     import json
 
-    from repro.preserve import report_to_json, run_preserve
+    from repro.preserve import run_preserve
 
-    runs = []
-    for _ in range(max(1, args.runs)):
-        report = run_preserve(
+    text, identical = replay(
+        lambda _flight_out: run_preserve(
             args.seed,
             files=args.files,
             years=args.years,
@@ -502,15 +520,17 @@ def cmd_preserve(args) -> int:
             audit=not args.no_audit,
             migrate=not args.no_migrate,
             faults=not args.no_faults,
-        )
-        runs.append(report_to_json(report))
-    identical = all(run == runs[0] for run in runs[1:])
-    report = json.loads(runs[0])
+        ),
+        args.runs,
+        None,
+    )
+    report = json.loads(text)
+    runs = max(1, args.runs)
 
     verdict = report["verdict"]
     print(f"preserve campaign: seed={args.seed} files={args.files} "
           f"years={args.years} intensity={args.intensity} "
-          f"(x{len(runs)} runs)")
+          f"(x{runs} runs)")
     print(f"  config: scrub={report['config']['scrub']} "
           f"audit={report['config']['audit']} "
           f"migrate={report['config']['migrate']} "
@@ -543,18 +563,11 @@ def cmd_preserve(args) -> int:
           f"{verdict['bytes_lost_per_exabyte_decade']:.3g} "
           f"bytes lost per exabyte-decade")
 
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(runs[0])
-        print(f"  wrote report to {args.out}")
+    _write_out(args.out, text, indent="  ")
     if not identical:
-        print("DETERMINISM VIOLATION: reports differ across identical runs")
-        return 1
+        return _determinism_violation()
     if not report["ok"]:
-        for inv in report["invariants"]:
-            if not inv["ok"]:
-                print(f"FAILED {inv['invariant']}: {inv['detail']}")
-        return 1
+        return _failed_invariants(report)
     if args.compare:
         baseline = run_preserve(
             args.seed,
@@ -577,82 +590,26 @@ def cmd_preserve(args) -> int:
                   "the unattended baseline")
             return 1
     print(f"  all {len(report['invariants'])} invariants hold; "
-          f"{len(runs)} runs byte-identical")
+          f"{runs} runs byte-identical")
     return 0
 
 
 def cmd_fleet(args) -> int:
     """Run a fleet campaign (twice, by default) and audit it.
 
-    The same seed must produce a byte-identical report every time; any
-    divergence, invariant violation, or lost byte is a non-zero exit.
-    """
-    import json
-
-    from repro.fleet import render_text, report_to_json, run_fleet
-
-    runs = []
-    for index in range(max(1, args.runs)):
-        report = run_fleet(
-            args.seed,
-            sites=args.sites,
-            racks_per_site=args.racks_per_site,
-            clients=args.clients,
-            duration_s=args.duration,
-            objects=args.objects,
-            arrival_rate=args.arrival_rate,
-            rack_loss=not args.no_rack_loss,
-            site_loss=not args.no_site_loss,
-            flight_out=args.flight_out if index == 0 else None,
-        )
-        if index == 0 and args.flight_out:
-            print(f"wrote flight-recorder dump to {args.flight_out}")
-            report.pop("flight_dump", None)
-        runs.append(report_to_json(report))
-    identical = all(run == runs[0] for run in runs[1:])
-    report = json.loads(runs[0])
-
-    print(render_text(report))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(runs[0])
-        print(f"wrote report to {args.out}")
-    if not identical:
-        print("DETERMINISM VIOLATION: reports differ across identical runs")
-        return 1
-    if not report["ok"]:
-        for inv in report["invariants"]:
-            if not inv["ok"]:
-                print(f"FAILED {inv['invariant']}: {inv['detail']}")
-        if report["bytes_lost"]:
-            print(f"BYTES LOST: {report['bytes_lost']}")
-        return 1
-    print(f"all {len(report['invariants'])} invariants hold, "
-          f"0 bytes lost; {len(runs)} runs byte-identical")
-    return 0
-
-
-def cmd_fleet_monitor(args) -> int:
-    """Run a monitored fleet campaign (twice, by default) and audit it.
-
-    Telemetry agents replicate rack health into the central store, the
-    closed-loop supervisor remediates what the rules detect, and the
-    audit demands I9 ("remediation converges").  Non-zero exit on any
-    divergence between runs, invariant violation, lost byte, or —
-    with the rack-loss fault enabled — an empty remediation log (a
+    ``fleet`` and ``fleet-monitor`` differ only in their defaults; the
+    latter turns on the telemetry agents and the closed-loop supervisor
+    and adds I9 ("remediation converges").  Non-zero exit on any
+    divergence between runs, invariant violation, lost byte, or — with
+    telemetry and the rack-loss fault on — an empty remediation log (a
     campaign where the closed loop never closed proves nothing).
     """
     import json
 
-    from repro.fleet.monitor import (
-        render_text,
-        report_to_json,
-        run_fleet_monitor,
-    )
+    from repro.fleet import render_text, run_fleet
 
-    runs = []
-    for index in range(max(1, args.runs)):
-        report = run_fleet_monitor(
+    text, identical = replay(
+        lambda flight_out: run_fleet(
             args.seed,
             sites=args.sites,
             racks_per_site=args.racks_per_site,
@@ -662,39 +619,30 @@ def cmd_fleet_monitor(args) -> int:
             arrival_rate=args.arrival_rate,
             rack_loss=not args.no_rack_loss,
             site_loss=args.site_loss,
-            telemetry=not args.no_telemetry,
-            flight_out=args.flight_out if index == 0 else None,
-        )
-        if index == 0 and args.flight_out:
-            print(f"wrote flight-recorder dump to {args.flight_out}")
-            report.pop("flight_dump", None)
-        runs.append(report_to_json(report))
-    identical = all(run == runs[0] for run in runs[1:])
-    report = json.loads(runs[0])
+            telemetry=args.telemetry,
+            flight_out=flight_out,
+        ),
+        args.runs,
+        args.flight_out,
+    )
+    report = json.loads(text)
 
     print(render_text(report))
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(runs[0])
-        print(f"wrote report to {args.out}")
+    _write_out(args.out, text)
     if not identical:
-        print("DETERMINISM VIOLATION: reports differ across identical runs")
-        return 1
+        return _determinism_violation()
     if not report["ok"]:
-        for inv in report["invariants"]:
-            if not inv["ok"]:
-                print(f"FAILED {inv['invariant']}: {inv['detail']}")
+        _failed_invariants(report)
         if report["bytes_lost"]:
             print(f"BYTES LOST: {report['bytes_lost']}")
         return 1
-    telemetry_on = not args.no_telemetry
-    if telemetry_on and not args.no_rack_loss and not report["remediations"]:
+    if args.telemetry and not args.no_rack_loss and not report["remediations"]:
         print("NO REMEDIATION: rack loss was injected but the supervisor "
               "never fired an action")
         return 1
     print(f"all {len(report['invariants'])} invariants hold, "
           f"{report['remediations']} remediation action(s), 0 bytes lost; "
-          f"{len(runs)} runs byte-identical")
+          f"{max(1, args.runs)} runs byte-identical")
     return 0
 
 
@@ -929,63 +877,52 @@ def build_parser() -> argparse.ArgumentParser:
     preserve.add_argument("--out", help="write the JSON report here")
     preserve.set_defaults(handler=cmd_preserve)
 
-    fleet = sub.add_parser(
-        "fleet", help="multi-site fleet campaign + recovery + I8 audit"
-    )
-    fleet.add_argument("--seed", type=int, default=7)
-    fleet.add_argument("--sites", type=int, default=3,
-                       help="failure-domain sites (default 3)")
-    fleet.add_argument("--racks-per-site", type=int, default=8,
-                       help="optical racks per site (default 8)")
-    fleet.add_argument("--clients", type=int, default=105_000,
-                       help="pooled open-loop clients across the fleet")
-    fleet.add_argument("--duration", type=float, default=12.0,
-                       help="serving horizon, simulated seconds")
-    fleet.add_argument("--objects", type=int, default=18,
-                       help="erasure-coded images pre-populated")
-    fleet.add_argument("--arrival-rate", type=float, default=60.0,
-                       help="per-site arrival rate, ops/second")
-    fleet.add_argument("--runs", type=int, default=2,
-                       help="identical runs to byte-compare (default 2)")
-    fleet.add_argument("--no-rack-loss", action="store_true",
-                       help="skip the early rack-destruction fault")
-    fleet.add_argument("--no-site-loss", action="store_true",
-                       help="skip the mid-run whole-site destruction")
-    fleet.add_argument("--out", help="write the JSON report here")
-    fleet.add_argument("--flight-out",
-                       help="dump the run's flight recorder (JSONL) here")
-    fleet.set_defaults(handler=cmd_fleet)
-
-    fmon = sub.add_parser(
-        "fleet-monitor",
-        help="fleet telemetry pipeline + closed-loop supervisor, I9 audit",
-    )
-    fmon.add_argument("--seed", type=int, default=7)
-    fmon.add_argument("--sites", type=int, default=3,
-                      help="failure-domain sites (default 3)")
-    fmon.add_argument("--racks-per-site", type=int, default=4,
-                      help="optical racks per site (default 4)")
-    fmon.add_argument("--clients", type=int, default=24_000,
-                      help="pooled open-loop clients across the fleet")
-    fmon.add_argument("--duration", type=float, default=10.0,
-                      help="serving horizon, simulated seconds")
-    fmon.add_argument("--objects", type=int, default=12,
-                      help="erasure-coded images pre-populated")
-    fmon.add_argument("--arrival-rate", type=float, default=40.0,
-                      help="per-site arrival rate, ops/second")
-    fmon.add_argument("--runs", type=int, default=2,
-                      help="identical runs to byte-compare (default 2)")
-    fmon.add_argument("--no-rack-loss", action="store_true",
-                      help="skip the early rack-destruction fault")
-    fmon.add_argument("--site-loss", action="store_true",
-                      help="also destroy a whole site mid-run")
-    fmon.add_argument("--no-telemetry", action="store_true",
-                      help="baseline: same fleet, loss-event recovery, "
-                           "no agents and no supervisor")
-    fmon.add_argument("--out", help="write the JSON report here")
-    fmon.add_argument("--flight-out",
-                      help="dump the run's flight recorder (JSONL) here")
-    fmon.set_defaults(handler=cmd_fleet_monitor)
+    for name, helps, defaults in (
+        ("fleet", "multi-site fleet campaign + recovery + I8 audit",
+         dict(racks_per_site=8, clients=105_000, duration=12.0,
+              objects=18, arrival_rate=60.0, site_loss=True,
+              telemetry=False)),
+        ("fleet-monitor",
+         "fleet telemetry pipeline + closed-loop supervisor, I9 audit",
+         dict(racks_per_site=4, clients=24_000, duration=10.0,
+              objects=12, arrival_rate=40.0, site_loss=False,
+              telemetry=True)),
+    ):
+        fleet = sub.add_parser(name, help=helps)
+        fleet.add_argument("--seed", type=int, default=7)
+        fleet.add_argument("--sites", type=int, default=3,
+                           help="failure-domain sites (default 3)")
+        fleet.add_argument("--racks-per-site", type=int,
+                           help=f"optical racks per site (default "
+                                f"{defaults['racks_per_site']})")
+        fleet.add_argument("--clients", type=int,
+                           help="pooled open-loop clients across the fleet")
+        fleet.add_argument("--duration", type=float,
+                           help="serving horizon, simulated seconds")
+        fleet.add_argument("--objects", type=int,
+                           help="erasure-coded images pre-populated")
+        fleet.add_argument("--arrival-rate", type=float,
+                           help="per-site arrival rate, ops/second")
+        fleet.add_argument("--runs", type=int, default=2,
+                           help="identical runs to byte-compare (default 2)")
+        fleet.add_argument("--no-rack-loss", action="store_true",
+                           help="skip the early rack-destruction fault")
+        if defaults["site_loss"]:
+            fleet.add_argument("--no-site-loss", dest="site_loss",
+                               action="store_false",
+                               help="skip the mid-run whole-site destruction")
+        else:
+            fleet.add_argument("--site-loss", action="store_true",
+                               help="also destroy a whole site mid-run")
+        if defaults["telemetry"]:
+            fleet.add_argument("--no-telemetry", dest="telemetry",
+                               action="store_false",
+                               help="baseline: same fleet, loss-event "
+                                    "recovery, no agents and no supervisor")
+        fleet.add_argument("--out", help="write the JSON report here")
+        fleet.add_argument("--flight-out",
+                           help="dump the run's flight recorder (JSONL) here")
+        fleet.set_defaults(handler=cmd_fleet, **defaults)
 
     bench = sub.add_parser(
         "bench", help="engine events/s + scenario wall-clock, perf gate"

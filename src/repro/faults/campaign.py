@@ -16,8 +16,6 @@ campaign twice and fails if the two reports differ.
 
 from __future__ import annotations
 
-import json
-
 from repro import units
 from repro.errors import ROSError
 from repro.faults.invariants import check_all
@@ -412,8 +410,3 @@ def run_campaign(
             ros.recorder.dump(dump_path)
             report["flight_dump"] = dump_path
     return report
-
-
-def report_to_json(report: dict) -> str:
-    """Canonical serialization — byte-comparable across identical runs."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))

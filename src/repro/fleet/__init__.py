@@ -11,11 +11,11 @@ The telemetry pipeline rides on top: per-rack agents
 (:mod:`repro.fleet.telemetry`) replicate health samples into a central
 :class:`~repro.tsdb.TimeSeriesStore`, the closed-loop supervisor
 (:mod:`repro.fleet.supervisor`) remediates what the samples reveal, and
-:mod:`repro.fleet.monitor` is the campaign that exercises the whole
-loop (``python -m repro fleet-monitor``).
+:mod:`repro.fleet.monitor` wires them into the fleet campaign
+(``run_fleet(telemetry=True)``, ``python -m repro fleet-monitor``).
 """
 
-from repro.fleet.campaign import render_text, report_to_json, run_fleet
+from repro.fleet.campaign import render_text, run_fleet
 from repro.fleet.frontend import FleetBackend, FleetFrontend
 from repro.fleet.monitor import run_fleet_monitor
 from repro.fleet.supervisor import FleetSupervisor, TriggerRule
@@ -56,7 +56,6 @@ __all__ = [
     "rack_probes",
     "rank_racks",
     "render_text",
-    "report_to_json",
     "run_fleet",
     "run_fleet_monitor",
     "site_probes",

@@ -8,22 +8,27 @@ open-loop clients (:class:`~repro.serve.loadgen.ClientPool` aggregate
 mode) through :class:`~repro.fleet.frontend.FleetBackend` adapters
 while the fault injector destroys a rack and then an entire site.
 The :class:`~repro.fleet.recovery.RecoveryManager` rebuilds lost
-shards onto survivors concurrently with client traffic.
+shards onto survivors concurrently with client traffic — woken by the
+loss events themselves, or, with ``telemetry=True``, by the
+closed-loop :class:`~repro.fleet.monitor.FleetMonitor` once the
+telemetry shows the loss (``run_fleet_monitor`` is this runner with a
+smaller monitored fleet as its defaults).
 
 The audit asserts invariant I8 ("no durable image unrecoverable while
-surviving shards ≥ k"), admission conservation (I5) and engine drain
-(I2's fleet analogue), and the verdict demands **zero bytes lost** —
-a destroyed site may cost at most ``m`` shards of any object, so every
-acked image must decode back byte-identically.
+surviving shards ≥ k"), admission conservation (I5), engine drain
+(I2's fleet analogue) and, with telemetry, I9 ("remediation
+converges"); the verdict demands **zero bytes lost** — a destroyed site
+may cost at most ``m`` shards of any object, so every acked image must
+decode back byte-identically.
 
 Everything derives from the one seed; a campaign is a pure function of
 its arguments and its JSON report is byte-reproducible — the CLI
-(``python -m repro fleet``) runs it twice and fails on any diff.
+(``python -m repro fleet`` / ``fleet-monitor``) runs it twice and fails
+on any diff.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Generator
 
 from repro.faults.injector import FaultInjector
@@ -31,16 +36,18 @@ from repro.faults.invariants import (
     _result,
     check_fleet_recoverable,
     check_no_admitted_request_lost,
+    check_remediation_converges,
 )
 from repro.faults.plan import FaultPlan, RACK_LOSS, SITE_LOSS
 from repro.fleet.frontend import FleetFrontend
-from repro.fleet.placement import balance
+from repro.fleet.monitor import GRACE_S, FleetMonitor
 from repro.fleet.recovery import RecoveryManager
 from repro.fleet.store import FleetStore
 from repro.fleet.topology import FleetTopology, Layout
+from repro.obs.recorder import FlightRecorder
 from repro.serve.loadgen import ClientPool, FleetSpec
 from repro.serve.network import NetworkLink
-from repro.serve.session import LATENCY_BOUNDS, STATUSES, ClientSession
+from repro.serve.session import LATENCY_BOUNDS, STATUSES
 from repro.serve.tenancy import AdmissionController, TenantSpec
 from repro.sim.engine import AllOf, Engine, Spawn
 from repro.sim.rng import DeterministicRNG
@@ -51,24 +58,33 @@ from repro.workloads.generator import SIZE_PROFILES
 #: the declared logical size — same convention as the serve layer)
 PAYLOAD_CAP = 64 * 1024
 
+#: object size distribution (a ``SIZE_PROFILES`` key) and its cap, for
+#: pre-populated images and client writes alike
+PROFILE = "iot"
+MAX_FILE_BYTES = 256 * 1024
+#: share of client operations that are reads
+READ_FRACTION = 0.8
+#: admission controller inflight cap, shared by every site tenant
+MAX_INFLIGHT = 32
+#: loss-event recovery: how long after a loss the rebuild starts
+DETECTION_DELAY_S = 0.5
+
 
 def _prepopulate(
     engine: Engine,
     store: FleetStore,
     rng: DeterministicRNG,
     objects: int,
-    profile: str,
-    max_file_bytes: int,
 ) -> list[tuple[str, int]]:
     """Seed the fleet with ``objects`` erasure-coded images; returns the
     shared read catalog ``[(path, declared_size)]`` the pools draw from."""
-    mean, sigma = SIZE_PROFILES[profile]
+    mean, sigma = SIZE_PROFILES[PROFILE]
     catalog: list[tuple[str, int]] = []
 
     def populate() -> Generator:
         for index in range(objects):
             size = max(1, int(min(rng.lognormal(mean, sigma),
-                                  max_file_bytes)))
+                                  MAX_FILE_BYTES)))
             payload = rng.bytes(min(size, PAYLOAD_CAP))
             path = f"/fleet/prepop/f{index:05d}.img"
             yield from store.put(path, payload, size)
@@ -116,13 +132,9 @@ def run_fleet(
     duration_s: float = 12.0,
     objects: int = 18,
     arrival_rate: float = 60.0,
-    profile: str = "iot",
-    max_file_bytes: int = 256 * 1024,
     rack_loss: bool = True,
     site_loss: bool = True,
-    detection_delay_s: float = 0.5,
-    read_fraction: float = 0.8,
-    max_inflight: int = 32,
+    telemetry: bool = False,
     flight_out: str | None = None,
 ) -> dict:
     """One fleet campaign; returns the (JSON-safe) report dict.
@@ -133,26 +145,20 @@ def run_fleet(
     sites, loses one rack early and one whole site mid-run, and must
     end with every acked object decodable (I8) and zero bytes lost.
 
-    ``flight_out`` attaches a flight recorder for the run and dumps it
-    (JSONL) to that path; unset, run and report stay byte-identical to
-    an unrecorded build.
+    ``telemetry=True`` replaces the loss-event recovery loop with a
+    :class:`~repro.fleet.monitor.FleetMonitor` (agents + supervisor)
+    that must detect the losses itself, and adds invariant I9.
+    ``flight_out`` dumps the flight recorder (JSONL) to that path.
     """
     engine = Engine()
-    recorder = None
-    if flight_out:
-        from repro.obs.recorder import FlightRecorder
-
-        recorder = FlightRecorder(engine).install()
+    recorder = FlightRecorder(engine).install()
     topology = FleetTopology(sites=sites, racks_per_site=racks_per_site)
     layout = Layout(k=k, m=m)
     store = FleetStore(engine, topology, layout)
     frontend = FleetFrontend(store)
-    rng = DeterministicRNG(seed).child("fleet")
+    rng = DeterministicRNG(seed).child("fleet-monitor")
 
-    catalog = _prepopulate(
-        engine, store, rng.child("populate"), objects, profile,
-        max_file_bytes,
-    )
+    catalog = _prepopulate(engine, store, rng.child("populate"), objects)
 
     # -- serving plumbing: one link + one tenant per site ---------------
     site_names = topology.site_names()
@@ -160,7 +166,7 @@ def run_fleet(
     admission = AdmissionController(
         engine,
         [TenantSpec(site, weight=1.0) for site in site_names],
-        max_inflight=max_inflight,
+        max_inflight=MAX_INFLIGHT,
     )
     metrics = MetricsRegistry()
 
@@ -175,9 +181,9 @@ def run_fleet(
                 clients=max(1, fleet_clients),
                 mode="open",
                 arrival_rate=arrival_rate,
-                read_fraction=read_fraction,
-                profile=profile,
-                max_file_bytes=max_file_bytes,
+                read_fraction=READ_FRACTION,
+                profile=PROFILE,
+                max_file_bytes=MAX_FILE_BYTES,
                 pooling="aggregate",
             )
         )
@@ -200,11 +206,18 @@ def run_fleet(
     )
     injector.start()
 
-    manager = RecoveryManager(store, detection_delay_s=detection_delay_s)
-    engine.spawn(manager.run(), name="fleet-recovery")
+    # -- repair: the closed loop, or the loss-event recovery loop --------
+    manager = RecoveryManager(store, detection_delay_s=DETECTION_DELAY_S)
+    monitor = None
+    if telemetry:
+        monitor = FleetMonitor(
+            engine, store, links, metrics, manager,
+            horizon_s=duration_s + GRACE_S,
+        )
+    else:
+        engine.spawn(manager.run(), name="fleet-recovery")
 
     # -- the client fleets ----------------------------------------------
-    sessions: list[ClientSession] = []
     serve_rng = rng.child("serve")
 
     def main() -> Generator:
@@ -215,20 +228,29 @@ def run_fleet(
                 engine, fleet, serve_rng, links[site], admission,
                 frontend.backend(site), metrics, catalog, t_end,
             )
-            sessions.extend(pool.sessions)
             pools.append((yield Spawn(pool.run(), f"pool-{site}")))
         yield AllOf(pools)
 
+    # perfbench's PhaseClock splits set-up from run at the last top-level
+    # run_process call, so serving must stay that call.
     engine.run_process(main(), "fleet-main")
     injector.stop()
     admission.close()
-    engine.run()  # let in-flight recovery campaigns finish
+    engine.run()  # recovery campaigns; with telemetry, out to the horizon
+    if monitor is not None:
+        monitor.stop()
     manager.stop()
-    engine.run()  # drain the woken manager and the closed dispatcher
+    engine.run()  # drain replicators, the parked manager, final rebuilds
 
     # -- audit -----------------------------------------------------------
-    invariants = [
-        check_fleet_recoverable(store),
+    invariants = []
+    if monitor is not None:
+        invariants.append(
+            check_remediation_converges(store, monitor.supervisor)
+        )
+    recoverable = check_fleet_recoverable(store)
+    invariants += [
+        recoverable,
         _result(
             "engine_drained",
             engine.is_idle,
@@ -236,12 +258,15 @@ def run_fleet(
         ),
         check_no_admitted_request_lost(admission),
     ]
-    lost_bytes = invariants[0]["detail"]["lost_bytes"]
-    counts = balance(
-        [record.placement for record in store.catalog.values()]
-    )
+    lost_bytes = recoverable["detail"]["lost_bytes"]
     ok = all(inv["ok"] for inv in invariants) and lost_bytes == 0
 
+    tenants = _tenant_summary(metrics, admission)
+    sections = (
+        monitor.sections() if monitor is not None
+        else {"telemetry": {"enabled": False}, "supervisor": None,
+              "remediations": 0}
+    )
     report = {
         "seed": seed,
         "duration_s": round(duration_s, 6),
@@ -252,9 +277,10 @@ def run_fleet(
         "prepopulated": len(catalog),
         "serve_start": round(serve_start, 6),
         "final_time": round(engine.now, 6),
+        "events_issued": engine.events_issued,
         "plan": [spec.to_dict() for spec in plan],
         "fault_events": injector.log,
-        "tenants": _tenant_summary(metrics, admission),
+        "tenants": tenants,
         "links": {
             site: {
                 "requests": link.requests,
@@ -265,51 +291,121 @@ def run_fleet(
         },
         "store": store.health(),
         "recovery": manager.health(),
-        "placement": {
-            "racks_used": len(counts),
-            "shards_min": min(counts.values()) if counts else 0,
-            "shards_max": max(counts.values()) if counts else 0,
-        },
-        "sessions": {
-            session.session_id: dict(sorted(session.outcomes.items()))
-            for session in sorted(sessions, key=lambda s: s.session_id)
+        **sections,
+        "rollup": _site_rollup(store, monitor),
+        "slo_burn": _slo_burn(tenants),
+        "flight_recorder": {
+            "events": len(recorder),
+            "recorded": recorder.recorded,
+            "dropped": recorder.dropped,
         },
         "invariants": invariants,
         "bytes_lost": lost_bytes,
         "ok": ok,
     }
-    if recorder is not None:
+    if flight_out:
         recorder.dump(flight_out)
         report["flight_dump"] = flight_out
     return report
 
 
-def report_to_json(report: dict) -> str:
-    """Canonical serialization — byte-comparable across identical runs."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+def _site_rollup(store: FleetStore, monitor: FleetMonitor | None) -> dict:
+    """Per-site health rollup as the *central store* sees the fleet —
+    ground truth (`store`) and telemetry can disagree, and the gap
+    (racks down vs racks merely silent) is the interesting part."""
+    rollup: dict[str, dict] = {}
+    for rack_id, rack in sorted(store.racks.items()):
+        entry = rollup.setdefault(
+            rack.site,
+            {"racks": 0, "up": 0, "drained": 0, "reporting": 0,
+             "reported_up": 0},
+        )
+        entry["racks"] += 1
+        entry["up"] += 1 if rack.up else 0
+        entry["drained"] += 1 if rack.drained else 0
+        reported = (
+            None if monitor is None
+            else monitor.reported_up(rack_id, rack.site)
+        )
+        if reported is not None:
+            entry["reporting"] += 1
+            entry["reported_up"] += 1 if reported else 0
+    return rollup
+
+
+def _slo_burn(tenants: dict) -> list[dict]:
+    """Per-site SLO burn rate, worst first: bad ops over total ops."""
+    burns = []
+    for name, entry in tenants.items():
+        total = entry["ops"]
+        bad = total - entry["outcomes"]["ok"]
+        burns.append(
+            {
+                "site": name,
+                "ops": total,
+                "bad": bad,
+                "burn": round(bad / total, 6) if total else 0.0,
+            }
+        )
+    burns.sort(key=lambda entry: (-entry["burn"], entry["site"]))
+    return burns
 
 
 def render_text(report: dict) -> str:
     """Human-readable campaign summary."""
     topo = report["topology"]
     layout = report["layout"]
+    telemetry = report["telemetry"]
+    title = "fleet-monitor" if telemetry["enabled"] else "fleet"
     lines = [
-        f"fleet report  seed={report['seed']}  "
+        f"{title} report  seed={report['seed']}  "
         f"{topo['sites']}x{topo['racks_per_site']} racks  "
         f"layout {layout['k']}+{layout['m']}  "
         f"clients={report['clients']}",
         "",
         f"{'site':<10} {'ops':>7} {'ok':>7} {'failed':>7} "
-        f"{'p50 s':>9} {'p99 s':>9}",
+        f"{'p50 s':>9} {'p99 s':>9} {'racks':>5} {'up':>3} "
+        f"{'drained':>7} {'reporting':>9} {'burn':>8}",
     ]
     lines.append("-" * len(lines[-1]))
+    burn_by_site = {entry["site"]: entry for entry in report["slo_burn"]}
     for name, entry in report["tenants"].items():
+        rollup = report["rollup"][name]
         lines.append(
             f"{name:<10} {entry['ops']:>7} "
             f"{entry['outcomes']['ok']:>7} "
             f"{entry['outcomes']['failed']:>7} "
-            f"{entry['p50_s']:>9.4f} {entry['p99_s']:>9.4f}"
+            f"{entry['p50_s']:>9.4f} {entry['p99_s']:>9.4f} "
+            f"{rollup['racks']:>5} {rollup['up']:>3} "
+            f"{rollup['drained']:>7} {rollup['reporting']:>9} "
+            f"{burn_by_site[name]['burn']:>8.4f}"
         )
+    if telemetry["enabled"]:
+        central = telemetry["central"]
+        tsdb = telemetry["store"]
+        lines.append("")
+        lines.append(
+            f"telemetry: {central['points_ingested']} points in "
+            f"{central['batches_ingested']} batches from "
+            f"{central['agents_seen']} agents; store holds "
+            f"{tsdb['live_points']} points / {tsdb['series']} series "
+            f"({tsdb['shards_evicted']} shards evicted)"
+        )
+    supervisor = report["supervisor"]
+    if supervisor is not None:
+        lines.append("")
+        lines.append(
+            f"remediation: {len(supervisor['log'])} actions "
+            f"({supervisor['fired']} fired, {supervisor['refired']} "
+            f"refired, {supervisor['cleared']} cleared)"
+        )
+        for entry in supervisor["log"][:8]:
+            lines.append(
+                f"  t={entry['t']:<9} {entry['rule']:<16} "
+                f"{entry['action']:<16} -> {entry['target']}"
+            )
+        if len(supervisor["log"]) > 8:
+            lines.append(f"  ... {len(supervisor['log']) - 8} more")
     store = report["store"]
     recovery = report["recovery"]
     lines.append("")

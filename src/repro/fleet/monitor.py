@@ -1,23 +1,22 @@
 """Monitored fleet campaigns: telemetry pipeline + closed-loop repair.
 
 ``run_fleet_monitor(seed, ...)`` is the observability experiment in one
-call: a multi-site fleet serves pooled tenant traffic (the PR-6 setup)
-while every rack hosts a :class:`~repro.fleet.telemetry.TelemetryAgent`
-replicating health samples over the site's 10GbE link — real bytes
-competing with tenant traffic — into one central
-:class:`~repro.tsdb.TimeSeriesStore`.  A
+call: :func:`~repro.fleet.campaign.run_fleet` with ``telemetry=True``
+and a smaller default fleet.  Every rack hosts a
+:class:`~repro.fleet.telemetry.TelemetryAgent` replicating health
+samples over the site's 10GbE link — real bytes competing with tenant
+traffic — into one central :class:`~repro.tsdb.TimeSeriesStore`.  A
 :class:`~repro.fleet.supervisor.FleetSupervisor` closes the loop:
 declarative trigger rules over the central store detect the injected
 ``rack.loss`` (the dead rack's series go stale), drain the rack out of
 placement and kick :meth:`~repro.fleet.recovery.RecoveryManager.
 rebuild_all` migrations until the fleet is whole again.
 
-The audit adds invariant I9 ("remediation converges": zero acked bytes
-lost *and* zero shards still missing once the supervisor has run its
-course) on top of the fleet campaign's I8/I5/drain checks.  With
-``telemetry=False`` the campaign degrades to the classic loss-event
-driven recovery loop — same faults, no agents, no supervisor — which
-is what the perf guard compares against.
+:class:`FleetMonitor` is that wiring; ``run_fleet`` builds it in place
+of the loss-event driven ``RecoveryManager.run`` loop.  The audit adds
+invariant I9 ("remediation converges": zero acked bytes lost *and*
+zero shards still missing once the supervisor has run its course) on
+top of the fleet campaign's I8/I5/drain checks.
 
 Everything derives from the one seed; the report is byte-reproducible
 and the CLI (``python -m repro fleet-monitor``) runs the campaign twice
@@ -26,19 +25,8 @@ and fails on any diff.
 
 from __future__ import annotations
 
-import json
-from typing import Generator, Optional
+from typing import Generator
 
-from repro.faults.injector import FaultInjector
-from repro.faults.invariants import (
-    _result,
-    check_fleet_recoverable,
-    check_no_admitted_request_lost,
-    check_remediation_converges,
-)
-from repro.faults.plan import FaultPlan, RACK_LOSS, SITE_LOSS
-from repro.fleet.campaign import PAYLOAD_CAP, _prepopulate, _tenant_summary
-from repro.fleet.frontend import FleetFrontend
 from repro.fleet.recovery import RecoveryManager
 from repro.fleet.store import FleetStore
 from repro.fleet.supervisor import FleetSupervisor, TriggerRule
@@ -48,17 +36,12 @@ from repro.fleet.telemetry import (
     rack_probes,
     site_probes,
 )
-from repro.fleet.topology import FleetTopology, Layout
-from repro.obs.recorder import FlightRecorder
-from repro.serve.loadgen import ClientPool, FleetSpec
 from repro.serve.network import NetworkLink
-from repro.serve.session import ClientSession, STATUSES
-from repro.serve.tenancy import AdmissionController, TenantSpec
-from repro.sim.engine import AllOf, Engine, Spawn
-from repro.sim.rng import DeterministicRNG
+from repro.serve.session import STATUSES
+from repro.sim.engine import Engine
 from repro.sim.tracing import MetricsRegistry
 
-__all__ = ["run_fleet_monitor", "report_to_json", "render_text"]
+__all__ = ["FleetMonitor", "run_fleet_monitor"]
 
 #: how long past the serving window the agents and supervisor keep
 #: running — the remediation tail (stale detection + rebuild) needs it
@@ -67,6 +50,10 @@ GRACE_S = 8.0
 #: staleness (seconds) after which a rack's telemetry is presumed dead;
 #: > 2 flush intervals so a congested link never reads as a dead rack
 STALE_AFTER_S = 3.0
+
+#: agent sampling period (simulated seconds) and samples per sealed batch
+SAMPLE_PERIOD_S = 0.5
+FLUSH_EVERY = 3
 
 
 def _default_rules() -> list[TriggerRule]:
@@ -117,425 +104,170 @@ def _default_rules() -> list[TriggerRule]:
     ]
 
 
-def run_fleet_monitor(
-    seed: int,
-    sites: int = 3,
-    racks_per_site: int = 4,
-    k: int = 4,
-    m: int = 2,
-    clients: int = 24_000,
-    duration_s: float = 10.0,
-    objects: int = 12,
-    arrival_rate: float = 40.0,
-    profile: str = "iot",
-    max_file_bytes: int = 256 * 1024,
-    rack_loss: bool = True,
-    site_loss: bool = False,
-    detection_delay_s: float = 0.5,
-    read_fraction: float = 0.8,
-    max_inflight: int = 32,
-    telemetry: bool = True,
-    sample_period_s: float = 0.5,
-    flush_every: int = 3,
-    flight_out: Optional[str] = None,
-) -> dict:
-    """One monitored fleet campaign; returns the (JSON-safe) report.
+class FleetMonitor:
+    """Telemetry agents on every rack and site frontend, the central
+    store they replicate into, and the supervisor acting on it.
 
-    With the defaults: 24 000 pooled clients over 12 racks in 3 sites,
-    one rack destroyed early, per-rack telemetry agents and the
-    closed-loop supervisor detecting and repairing the loss while
-    serving continues.  ``telemetry=False`` runs the identical fleet
-    with the classic loss-event recovery loop instead — the baseline
-    the perf guard measures agent overhead against.
+    Agents and supervisor run until ``horizon_s``; :meth:`stop` seals
+    the agents' tail batches and parks the supervisor.
     """
-    engine = Engine()
-    recorder = FlightRecorder(engine).install()
-    topology = FleetTopology(sites=sites, racks_per_site=racks_per_site)
-    layout = Layout(k=k, m=m)
-    store = FleetStore(engine, topology, layout)
-    frontend = FleetFrontend(store)
-    rng = DeterministicRNG(seed).child("fleet-monitor")
 
-    catalog = _prepopulate(
-        engine, store, rng.child("populate"), objects, profile,
-        max_file_bytes,
-    )
-
-    # -- serving plumbing: one link + one tenant per site ---------------
-    site_names = topology.site_names()
-    links = {site: NetworkLink(engine) for site in site_names}
-    admission = AdmissionController(
-        engine,
-        [TenantSpec(site, weight=1.0) for site in site_names],
-        max_inflight=max_inflight,
-    )
-    metrics = MetricsRegistry()
-
-    per_site = clients // sites
-    fleets = []
-    for index, site in enumerate(site_names):
-        fleet_clients = per_site + (clients - per_site * sites
-                                    if index == 0 else 0)
-        fleets.append(
-            FleetSpec(
-                tenant=TenantSpec(site, weight=1.0),
-                clients=max(1, fleet_clients),
-                mode="open",
-                arrival_rate=arrival_rate,
-                read_fraction=read_fraction,
-                profile=profile,
-                max_file_bytes=max_file_bytes,
-                pooling="aggregate",
-            )
-        )
-
-    # -- fault schedule --------------------------------------------------
-    serve_start = engine.now
-    t_end = serve_start + duration_s
-    horizon_s = duration_s + GRACE_S
-    frng = rng.child("faults")
-    plan = FaultPlan()
-    if rack_loss:
-        plan.add(
-            RACK_LOSS, at=serve_start + duration_s * frng.uniform(0.15, 0.3)
-        )
-    if site_loss:
-        plan.add(
-            SITE_LOSS, at=serve_start + duration_s * frng.uniform(0.5, 0.65)
-        )
-    injector = (
-        FaultInjector(engine, plan, seed=seed).bind_fleet(store).install()
-    )
-    injector.start()
-
-    manager = RecoveryManager(store, detection_delay_s=detection_delay_s)
-
-    # -- telemetry pipeline + closed-loop supervisor ---------------------
-    central = CentralTelemetry()
-    agents: list[TelemetryAgent] = []
-    supervisor: Optional[FleetSupervisor] = None
-    if telemetry:
+    def __init__(
+        self,
+        engine: Engine,
+        store: FleetStore,
+        links: dict[str, NetworkLink],
+        metrics: MetricsRegistry,
+        manager: RecoveryManager,
+        horizon_s: float,
+    ):
+        self.engine = engine
+        self.store = store
+        self.manager = manager
+        self.central = CentralTelemetry()
+        self._rebuilding = False
+        self.agents: list[TelemetryAgent] = []
         for rack_id, rack in sorted(store.racks.items()):
-            agents.append(
+            self.agents.append(
                 TelemetryAgent(
                     engine,
                     agent_id=rack_id,
-                    central=central,
+                    central=self.central,
                     link=links[rack.site],
                     probes=rack_probes(rack),
                     labels={"rack": rack_id, "site": rack.site},
-                    sample_period_s=sample_period_s,
-                    flush_every=flush_every,
+                    sample_period_s=SAMPLE_PERIOD_S,
+                    flush_every=FLUSH_EVERY,
                     horizon_s=horizon_s,
                     source_up=lambda r=rack: r.up,
                 ).start()
             )
-        for site in site_names:
-            agents.append(
+        for site, link in links.items():
+            self.agents.append(
                 TelemetryAgent(
                     engine,
                     agent_id=f"frontend.{site}",
-                    central=central,
-                    link=links[site],
-                    probes=site_probes(site, links[site], metrics, STATUSES),
+                    central=self.central,
+                    link=link,
+                    probes=site_probes(site, link, metrics, STATUSES),
                     labels={"site": site},
-                    sample_period_s=sample_period_s,
-                    flush_every=flush_every,
+                    sample_period_s=SAMPLE_PERIOD_S,
+                    flush_every=FLUSH_EVERY,
                     horizon_s=horizon_s,
                 ).start()
             )
-
-        rebuild_state = {"active": False}
-
-        def _kick_rebuild() -> bool:
-            if rebuild_state["active"] or not store.lost_shards():
-                return False
-            rebuild_state["active"] = True
-
-            def one_shot() -> Generator:
-                try:
-                    yield from manager.rebuild_all()
-                finally:
-                    rebuild_state["active"] = False
-
-            engine.spawn(one_shot(), name="supervised-rebuild")
-            return True
-
-        def drain_rack(target: str) -> dict:
-            changed = (
-                store.set_drained(target, True)
-                if target in store.racks else False
-            )
-            return {"drained": changed}
-
-        def undrain_rack(target: str) -> dict:
-            changed = (
-                store.set_drained(target, False)
-                if target in store.racks else False
-            )
-            return {"undrained": changed}
-
-        def remediate_rack(target: str) -> dict:
-            detail = drain_rack(target)
-            detail["rebuild_kicked"] = _kick_rebuild()
-            return detail
-
-        def start_rebuild(target: str) -> dict:
-            return {"rebuild_kicked": _kick_rebuild()}
-
-        supervisor = FleetSupervisor(
+        self.supervisor = FleetSupervisor(
             engine,
-            central.store,
+            self.central.store,
             rules=_default_rules(),
             actions={
-                "drain_rack": drain_rack,
-                "undrain_rack": undrain_rack,
-                "remediate_rack": remediate_rack,
-                "start_rebuild": start_rebuild,
+                "drain_rack": self.drain_rack,
+                "undrain_rack": self.undrain_rack,
+                "remediate_rack": self.remediate_rack,
+                "start_rebuild": self.start_rebuild,
             },
             eval_period_s=0.75,
             horizon_s=horizon_s,
         ).start()
-    else:
-        # Classic loss-event driven recovery (the PR-6 baseline).
-        engine.spawn(manager.run(), name="fleet-recovery")
 
-    # -- the client fleets ----------------------------------------------
-    sessions: list[ClientSession] = []
-    serve_rng = rng.child("serve")
+    def stop(self) -> None:
+        for agent in self.agents:
+            agent.stop()  # seal tail batches; replicators drain or abandon
+        self.supervisor.stop()
 
-    def main() -> Generator:
-        pools = []
-        for index, fleet in enumerate(fleets):
-            site = site_names[index]
-            pool = ClientPool(
-                engine, fleet, serve_rng, links[site], admission,
-                frontend.backend(site), metrics, catalog, t_end,
-            )
-            sessions.extend(pool.sessions)
-            pools.append((yield Spawn(pool.run(), f"pool-{site}")))
-        yield AllOf(pools)
+    # -- supervisor actions ----------------------------------------------
+    def _kick_rebuild(self) -> bool:
+        if self._rebuilding or not self.store.lost_shards():
+            return False
+        self._rebuilding = True
 
-    engine.run_process(main(), "fleet-monitor-main")
-    injector.stop()
-    admission.close()
-    engine.run()  # remediation tail: agents + supervisor out to horizon
-    for agent in agents:
-        agent.stop()  # seal tail batches; replicators drain or abandon
-    if supervisor is not None:
-        supervisor.stop()
-    manager.stop()
-    engine.run()  # drain replicators, the parked manager, final rebuilds
-    central.store.flush()  # finalize open rollup buckets for the report
+        def one_shot() -> Generator:
+            try:
+                yield from self.manager.rebuild_all()
+            finally:
+                self._rebuilding = False
 
-    # -- audit -----------------------------------------------------------
-    invariants = []
-    if supervisor is not None:
-        invariants.append(check_remediation_converges(store, supervisor))
-    invariants.extend(
-        [
-            check_fleet_recoverable(store),
-            _result(
-                "engine_drained",
-                engine.is_idle,
-                {"final_time": round(engine.now, 6)},
-            ),
-            check_no_admitted_request_lost(admission),
-        ]
-    )
-    lost_bytes = next(
-        inv for inv in invariants if inv["invariant"] == "fleet_recoverable"
-    )["detail"]["lost_bytes"]
-    ok = all(inv["ok"] for inv in invariants) and lost_bytes == 0
+        self.engine.spawn(one_shot(), name="supervised-rebuild")
+        return True
 
-    report = {
-        "seed": seed,
-        "duration_s": round(duration_s, 6),
-        "topology": topology.to_dict(),
-        "layout": layout.to_dict(),
-        "clients": clients,
-        "pooling": "aggregate",
-        "prepopulated": len(catalog),
-        "serve_start": round(serve_start, 6),
-        "final_time": round(engine.now, 6),
-        "events_issued": engine.events_issued,
-        "plan": [spec.to_dict() for spec in plan],
-        "fault_events": injector.log,
-        "tenants": _tenant_summary(metrics, admission),
-        "links": {
-            site: {
-                "requests": link.requests,
-                "responses": link.responses,
-                "drops": link.drops,
-            }
-            for site, link in sorted(links.items())
-        },
-        "store": store.health(),
-        "recovery": manager.health(),
-        "telemetry": _telemetry_section(central, agents, telemetry),
-        "rollup": _site_rollup(store, central, telemetry),
-        "slo_burn": _slo_burn(metrics, admission),
-        "supervisor": (
-            {"log": supervisor.log, **supervisor.health()}
-            if supervisor is not None
-            else None
-        ),
-        "remediations": len(supervisor.log) if supervisor is not None else 0,
-        "flight_recorder": {
-            "events": len(recorder),
-            "recorded": recorder.recorded,
-            "dropped": recorder.dropped,
-        },
-        "invariants": invariants,
-        "bytes_lost": lost_bytes,
-        "ok": ok,
-    }
-    if flight_out:
-        recorder.dump(flight_out)
-        report["flight_dump"] = flight_out
-    return report
+    def _set_drained(self, target: str, drained: bool) -> bool:
+        if target not in self.store.racks:
+            return False
+        return self.store.set_drained(target, drained)
 
+    def drain_rack(self, target: str) -> dict:
+        return {"drained": self._set_drained(target, True)}
 
-# ----------------------------------------------------------------------
-# Report sections
-# ----------------------------------------------------------------------
-def _telemetry_section(
-    central: CentralTelemetry, agents: list[TelemetryAgent], enabled: bool
-) -> dict:
-    if not enabled:
-        return {"enabled": False}
-    return {
-        "enabled": True,
-        "central": central.health(),
-        "store": central.store.snapshot_stats(),
-        "agents": {
-            agent.agent_id: agent.health() for agent in agents
-        },
-    }
+    def undrain_rack(self, target: str) -> dict:
+        return {"undrained": self._set_drained(target, False)}
 
+    def remediate_rack(self, target: str) -> dict:
+        detail = self.drain_rack(target)
+        detail["rebuild_kicked"] = self._kick_rebuild()
+        return detail
 
-def _site_rollup(
-    store: FleetStore, central: CentralTelemetry, enabled: bool
-) -> dict:
-    """Per-site health rollup as the *central store* sees the fleet —
-    ground truth (`store`) and telemetry can disagree, and the gap
-    (racks down vs racks merely silent) is the interesting part."""
-    rollup: dict[str, dict] = {}
-    for rack_id, rack in sorted(store.racks.items()):
-        entry = rollup.setdefault(
-            rack.site,
-            {"racks": 0, "up": 0, "drained": 0, "reporting": 0,
-             "reported_up": 0},
-        )
-        entry["racks"] += 1
-        entry["up"] += 1 if rack.up else 0
-        entry["drained"] += 1 if rack.drained else 0
-        if not enabled:
-            continue
-        newest = central.store.latest(
-            "fleet.rack.up", {"rack": rack_id, "site": rack.site}
-        )
-        if newest is None:
-            continue
-        entry["reporting"] += 1
-        entry["reported_up"] += 1 if newest[1] >= 1.0 else 0
-    return rollup
+    def start_rebuild(self, target: str) -> dict:
+        return {"rebuild_kicked": self._kick_rebuild()}
 
-
-def _slo_burn(metrics: MetricsRegistry, admission: AdmissionController):
-    """Per-site SLO burn rate, worst first: bad ops over total ops."""
-    burns = []
-    for name in sorted(admission.tenants):
-        counts = {
-            status: int(metrics.counter(f"serve.ops.{name}.{status}").value)
-            for status in STATUSES
+    # -- report ------------------------------------------------------------
+    def sections(self) -> dict:
+        """The report's ``telemetry``/``supervisor``/``remediations``;
+        finalizes the central store's open rollup buckets first."""
+        self.central.store.flush()
+        return {
+            "telemetry": {
+                "enabled": True,
+                "central": self.central.health(),
+                "store": self.central.store.snapshot_stats(),
+                "agents": {
+                    agent.agent_id: agent.health() for agent in self.agents
+                },
+            },
+            "supervisor": {
+                "log": self.supervisor.log, **self.supervisor.health()
+            },
+            "remediations": len(self.supervisor.log),
         }
-        total = sum(counts.values())
-        bad = total - counts.get("ok", 0)
-        burns.append(
-            {
-                "site": name,
-                "ops": total,
-                "bad": bad,
-                "burn": round(bad / total, 6) if total else 0.0,
-            }
+
+    def reported_up(self, rack_id: str, site: str) -> bool | None:
+        """The rack's newest ``fleet.rack.up`` sample as the central store
+        holds it (``None``: it never reported)."""
+        newest = self.central.store.latest(
+            "fleet.rack.up", {"rack": rack_id, "site": site}
         )
-    burns.sort(key=lambda entry: (-entry["burn"], entry["site"]))
-    return burns
+        return None if newest is None else newest[1] >= 1.0
 
 
-# ----------------------------------------------------------------------
-def report_to_json(report: dict) -> str:
-    """Canonical serialization — byte-comparable across identical runs."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+def run_fleet_monitor(
+    seed: int,
+    racks_per_site: int = 4,
+    clients: int = 24_000,
+    duration_s: float = 10.0,
+    objects: int = 12,
+    arrival_rate: float = 40.0,
+    site_loss: bool = False,
+    telemetry: bool = True,
+    **kwargs,
+) -> dict:
+    """:func:`~repro.fleet.campaign.run_fleet` with the monitored defaults.
 
+    24 000 pooled clients over 12 racks in 3 sites, one rack destroyed
+    early, per-rack telemetry agents and the closed-loop supervisor
+    detecting and repairing the loss while serving continues.
+    ``telemetry=False`` runs the identical fleet with the classic
+    loss-event recovery loop instead — the baseline the perf guard
+    measures agent overhead against.
+    """
+    from repro.fleet.campaign import run_fleet
 
-def render_text(report: dict) -> str:
-    """Human-readable monitored-campaign summary."""
-    topo = report["topology"]
-    layout = report["layout"]
-    lines = [
-        f"fleet-monitor report  seed={report['seed']}  "
-        f"{topo['sites']}x{topo['racks_per_site']} racks  "
-        f"layout {layout['k']}+{layout['m']}  "
-        f"clients={report['clients']}",
-        "",
-        f"{'site':<10} {'racks':>5} {'up':>3} {'drained':>7} "
-        f"{'reporting':>9} {'burn':>8}",
-    ]
-    lines.append("-" * len(lines[-1]))
-    burn_by_site = {entry["site"]: entry for entry in report["slo_burn"]}
-    for site, entry in sorted(report["rollup"].items()):
-        burn = burn_by_site.get(site, {}).get("burn", 0.0)
-        lines.append(
-            f"{site:<10} {entry['racks']:>5} {entry['up']:>3} "
-            f"{entry['drained']:>7} {entry['reporting']:>9} {burn:>8.4f}"
-        )
-    telemetry = report["telemetry"]
-    if telemetry.get("enabled"):
-        central = telemetry["central"]
-        tsdb = telemetry["store"]
-        lines.append("")
-        lines.append(
-            f"telemetry: {central['points_ingested']} points in "
-            f"{central['batches_ingested']} batches from "
-            f"{central['agents_seen']} agents; store holds "
-            f"{tsdb['live_points']} points / {tsdb['series']} series "
-            f"({tsdb['shards_evicted']} shards evicted)"
-        )
-    supervisor = report["supervisor"]
-    if supervisor is not None:
-        lines.append("")
-        lines.append(
-            f"remediation: {len(supervisor['log'])} actions "
-            f"({supervisor['fired']} fired, {supervisor['refired']} "
-            f"refired, {supervisor['cleared']} cleared)"
-        )
-        for entry in supervisor["log"][:8]:
-            lines.append(
-                f"  t={entry['t']:<9} {entry['rule']:<16} "
-                f"{entry['action']:<16} -> {entry['target']}"
-            )
-        if len(supervisor["log"]) > 8:
-            lines.append(f"  ... {len(supervisor['log']) - 8} more")
-    store = report["store"]
-    recovery = report["recovery"]
-    lines.append("")
-    lines.append(
-        f"store: {store['racks_up']}/{store['racks']} racks up, "
-        f"{store['objects']} objects, "
-        f"{store['lost_shards']} shards still lost"
+    return run_fleet(
+        seed,
+        racks_per_site=racks_per_site,
+        clients=clients,
+        duration_s=duration_s,
+        objects=objects,
+        arrival_rate=arrival_rate,
+        site_loss=site_loss,
+        telemetry=telemetry,
+        **kwargs,
     )
-    lines.append(
-        f"recovery: {recovery['campaigns']} campaigns, "
-        f"{recovery['shards_rebuilt']} shards rebuilt, "
-        f"{recovery['objects_unrecoverable']} objects unrecoverable"
-    )
-    for inv in report["invariants"]:
-        status = "PASS" if inv["ok"] else "FAIL"
-        lines.append(f"invariant {inv['invariant']}: {status}")
-    lines.append(
-        f"bytes lost: {report['bytes_lost']}  "
-        f"verdict: {'OK' if report['ok'] else 'VIOLATION'}"
-    )
-    return "\n".join(lines)

@@ -233,6 +233,7 @@ def scenario_fleet(seed: int = 42, duration_s: float = 10.0) -> dict:
         "bytes_lost": report["bytes_lost"],
         "invariants_ok": all(i["ok"] for i in report["invariants"]),
         "sim_seconds": round(report["final_time"], 3),
+        "events": report["events_issued"],
     }
 
 

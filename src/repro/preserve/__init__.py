@@ -15,13 +15,12 @@ The pieces a 50-year archive needs beyond writing bytes once:
 
 from repro.preserve.aging import AgingClock
 from repro.preserve.audit import AntiEntropyAuditor
-from repro.preserve.campaign import report_to_json, run_preserve
+from repro.preserve.campaign import run_preserve
 from repro.preserve.scrubber import BackgroundScrubber
 
 __all__ = [
     "AgingClock",
     "AntiEntropyAuditor",
     "BackgroundScrubber",
-    "report_to_json",
     "run_preserve",
 ]

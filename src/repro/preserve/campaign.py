@@ -19,8 +19,6 @@ on any byte difference.
 
 from __future__ import annotations
 
-import json
-
 from repro import units
 from repro.errors import ROSError
 from repro.faults.invariants import (
@@ -371,8 +369,3 @@ def run_preserve(
         "ok": ok,
     }
     return report
-
-
-def report_to_json(report: dict) -> str:
-    """Canonical serialization — byte-comparable across identical runs."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))

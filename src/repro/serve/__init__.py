@@ -23,7 +23,7 @@ reports, and the serving layer draws no randomness unless enabled.
 from repro.serve.loadgen import FleetSpec, default_fleets, run_serve
 from repro.serve.xl import run_serve_xl
 from repro.serve.network import NetworkLink
-from repro.serve.report import render_text, report_to_json
+from repro.serve.report import render_text
 from repro.serve.session import ClientSession, ClusterBackend, OLFSBackend, ServeOp
 from repro.serve.tenancy import AdmissionController, TenantSpec, TokenBucket
 
@@ -39,7 +39,6 @@ __all__ = [
     "TokenBucket",
     "default_fleets",
     "render_text",
-    "report_to_json",
     "run_serve",
     "run_serve_xl",
 ]

@@ -1,14 +1,12 @@
 """Per-tenant serving reports: throughput, percentiles, SLO verdicts.
 
 ``build_report`` reduces a finished load run into one deterministic dict
-(sorted tenants, rounded floats); ``report_to_json`` renders the
-canonical byte form the CLI and CI compare across runs, and
+(sorted tenants, rounded floats) — :func:`repro.obs.report_json`
+gives the canonical byte form the CLI and CI compare across runs — and
 ``render_text`` renders the human table.
 """
 
 from __future__ import annotations
-
-import json
 
 from repro import units
 from repro.serve.session import LATENCY_BOUNDS, STATUSES
@@ -105,11 +103,6 @@ def build_report(
         },
         "admission_audit": {"ok": audit_ok, "detail": audit_detail},
     }
-
-
-def report_to_json(report: dict) -> str:
-    """Canonical byte form — what determinism checks compare."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
 
 
 def render_text(report: dict) -> str:

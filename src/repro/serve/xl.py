@@ -33,7 +33,6 @@ tens of thousands of arrivals pays O(epochs) of RNG dispatch.
 
 from __future__ import annotations
 
-import json
 from typing import Generator
 
 from repro import units
@@ -256,8 +255,3 @@ def run_serve_xl(
         g: sharded.shard_of(g) for g in groups
     }, "routing table disagrees with engine pinning"
     return report
-
-
-def report_to_json(report: dict) -> str:
-    """Canonical byte form — what shard-layout comparisons compare."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import ALL_KINDS, BASE_KINDS, FaultPlan
-from repro.faults.campaign import report_to_json, run_campaign
+from repro.faults.campaign import run_campaign
+from repro.obs import report_json
 from repro.sim.rng import DeterministicRNG
 
 #: Fixed seeds the chaos campaign must keep passing on (CI runs these).
@@ -43,7 +44,7 @@ def test_randomized_plan_replays_byte_identically(seed, horizon, intensity):
 
 
 def test_campaign_replay_is_byte_identical():
-    reports = [report_to_json(run_campaign(7, ops=30)) for _ in range(2)]
+    reports = [report_json(run_campaign(7, ops=30)) for _ in range(2)]
     assert reports[0] == reports[1]
     # The canonical form parses back and carries the full audit.
     report = json.loads(reports[0])
@@ -90,11 +91,10 @@ def test_corpus_preserve_campaign_replay_and_convergence(seed):
     """The preservation campaign is corpus material like the chaos
     campaign: byte-identical replay, and invariant 7 (audit converges)
     must hold on every pinned seed."""
-    from repro.preserve import report_to_json as preserve_json
     from repro.preserve import run_preserve
 
     reports = [run_preserve(seed, files=8) for _ in range(2)]
-    assert preserve_json(reports[0]) == preserve_json(reports[1])
+    assert report_json(reports[0]) == report_json(reports[1])
     audit = next(
         inv
         for inv in reports[0]["invariants"]
@@ -135,7 +135,7 @@ def test_corpus_fleet_campaign_replay_and_recoverability(seed):
     rides the same seeded campaign, replays byte-identically, and every
     invariant — I1..I7 plus I8 (fleet recoverability) — holds."""
     reports = [run_campaign(seed, ops=30, fleet=True) for _ in range(2)]
-    assert report_to_json(reports[0]) == report_to_json(reports[1])
+    assert report_json(reports[0]) == report_json(reports[1])
     report = reports[0]
     names = [inv["invariant"] for inv in report["invariants"]]
     assert "fleet_recoverable" in names

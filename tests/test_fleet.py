@@ -20,9 +20,9 @@ from repro.fleet import (
     Layout,
     RecoveryManager,
     render_text,
-    report_to_json,
     run_fleet,
 )
+from repro.obs import report_json
 from repro.sim.engine import Engine
 
 CORPUS_SEEDS = [7, 11, 23, 42, 1337]
@@ -219,7 +219,7 @@ class TestCampaign:
     def test_corpus_campaign_replay_is_byte_identical(self, seed):
         first = run_fleet(seed, **SMALL)
         second = run_fleet(seed, **SMALL)
-        assert report_to_json(first) == report_to_json(second)
+        assert report_json(first) == report_json(second)
         assert first["ok"], first["invariants"]
         assert first["bytes_lost"] == 0
 
@@ -250,7 +250,7 @@ class TestCampaign:
 
     def test_report_is_json_and_renderable(self):
         report = run_fleet(23, **SMALL)
-        round_tripped = json.loads(report_to_json(report))
+        round_tripped = json.loads(report_json(report))
         assert round_tripped["seed"] == 23
         text = render_text(report)
         assert "fleet report" in text

@@ -12,7 +12,8 @@ Three layers, matching the subsystem's delivery contract:
   a real store on a real engine clock;
 * **campaigns** — ``run_fleet_monitor`` on a small geometry: corpus
   byte-determinism, invariant I9 (remediation converges under rack
-  loss), the telemetry-off baseline, and the <10% engine-event
+  loss), the telemetry-off baseline (byte-identical to the bare
+  ``run_fleet`` at the same geometry), and the <10% engine-event
   overhead guard the perf ``fleet_monitor`` scenario tracks.
 """
 
@@ -22,11 +23,8 @@ import pytest
 
 from repro import units
 from repro.errors import LinkDownError
-from repro.fleet.monitor import (
-    render_text,
-    report_to_json,
-    run_fleet_monitor,
-)
+from repro.fleet import render_text, run_fleet
+from repro.fleet.monitor import run_fleet_monitor
 from repro.fleet.supervisor import (
     KIND_ACTION,
     KIND_CLEAR,
@@ -37,6 +35,7 @@ from repro.fleet.telemetry import (
     CentralTelemetry,
     TelemetryAgent,
 )
+from repro.obs import report_json
 from repro.preserve import BackgroundScrubber
 from repro.serve.network import NetworkLink
 from repro.sim.engine import Delay, Engine
@@ -412,8 +411,8 @@ def test_set_rate_is_a_noop_under_admission_control():
 class TestMonitorCampaign:
     @pytest.mark.parametrize("seed", [7, 42])
     def test_campaign_replay_is_byte_identical(self, seed):
-        first = report_to_json(run_fleet_monitor(seed, **SMALL))
-        second = report_to_json(run_fleet_monitor(seed, **SMALL))
+        first = report_json(run_fleet_monitor(seed, **SMALL))
+        second = report_json(run_fleet_monitor(seed, **SMALL))
         assert first == second
 
     def test_rack_loss_is_remediated_and_converges(self):
@@ -445,9 +444,21 @@ class TestMonitorCampaign:
         names = [inv["invariant"] for inv in report["invariants"]]
         assert "remediation_converges" not in names
 
+    @pytest.mark.parametrize("seed", [7, 42])
+    def test_telemetry_off_is_byte_identical_to_the_bare_fleet_run(
+        self, seed
+    ):
+        # one runner: the monitored campaign with telemetry off *is* the
+        # bare fleet campaign at the same geometry and fault schedule
+        monitored = run_fleet_monitor(
+            seed, telemetry=False, site_loss=False, **SMALL
+        )
+        bare = run_fleet(seed, site_loss=False, **SMALL)
+        assert report_json(monitored) == report_json(bare)
+
     def test_report_renders_and_serializes(self):
         report = run_fleet_monitor(11, **SMALL)
-        parsed = json.loads(report_to_json(report))
+        parsed = json.loads(report_json(report))
         assert parsed["seed"] == 11
         text = render_text(report)
         assert "fleet-monitor" in text

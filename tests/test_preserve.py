@@ -27,9 +27,9 @@ from repro.preserve import (
     AgingClock,
     AntiEntropyAuditor,
     BackgroundScrubber,
-    report_to_json,
     run_preserve,
 )
+from repro.obs import report_json
 from repro.serve.tenancy import AdmissionController, TenantSpec
 from repro.sim.engine import Delay
 from repro.sim.rng import DeterministicRNG
@@ -394,7 +394,7 @@ def test_audit_convergence_invariant_flags_divergence():
 @pytest.mark.parametrize("seed", CORPUS_SEEDS)
 def test_campaign_replay_is_byte_identical(seed):
     reports = [
-        report_to_json(run_preserve(seed, files=8)) for _ in range(2)
+        report_json(run_preserve(seed, files=8)) for _ in range(2)
     ]
     assert reports[0] == reports[1]
 

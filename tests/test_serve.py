@@ -21,9 +21,9 @@ from repro.serve import (
     TenantSpec,
     TokenBucket,
     default_fleets,
-    report_to_json,
     run_serve,
 )
+from repro.obs import report_json
 from repro.serve.session import LATENCY_BOUNDS
 from repro.sim.engine import Delay, Engine, Spawn
 from repro.sim.tracing import MetricsRegistry
@@ -458,7 +458,7 @@ def _tiny_fleets():
 
 def test_run_serve_report_is_byte_deterministic():
     reports = [
-        report_to_json(
+        report_json(
             run_serve(5, fleets=_tiny_fleets(), duration_s=6.0,
                       prepopulate=4)
         )
@@ -539,7 +539,7 @@ def test_run_serve_scrub_tenant_keeps_gold_p99_green():
 
 def test_run_serve_scrub_report_is_byte_deterministic():
     reports = [
-        report_to_json(
+        report_json(
             run_serve(5, fleets=_tiny_fleets(), duration_s=6.0,
                       prepopulate=4, scrub=True)
         )
@@ -551,10 +551,10 @@ def test_run_serve_scrub_report_is_byte_deterministic():
 def test_run_serve_scrub_off_report_unchanged():
     """Adding the scrub feature must not perturb scrub-off runs: the
     tenant list and RNG draws only change when scrub=True."""
-    baseline = report_to_json(
+    baseline = report_json(
         run_serve(5, fleets=_tiny_fleets(), duration_s=6.0, prepopulate=4)
     )
-    again = report_to_json(
+    again = report_json(
         run_serve(5, fleets=_tiny_fleets(), duration_s=6.0, prepopulate=4,
                   scrub=False)
     )
@@ -605,7 +605,7 @@ def test_pool_sessions_mode_matches_legacy_byte_for_byte():
     kwargs = dict(duration_s=6.0, prepopulate=4)
     legacy = run_serve(13, fleets=_open_fleet(6, "legacy"), **kwargs)
     pooled = run_serve(13, fleets=_open_fleet(6, "sessions"), **kwargs)
-    assert report_to_json(legacy) == report_to_json(pooled)
+    assert report_json(legacy) == report_json(pooled)
 
 
 def test_pool_aggregate_mode_is_statistically_equivalent():
@@ -632,7 +632,7 @@ def test_pool_aggregate_mode_is_statistically_equivalent():
 def test_pool_aggregate_report_is_byte_deterministic():
     kwargs = dict(duration_s=6.0, prepopulate=4)
     reports = [
-        report_to_json(
+        report_json(
             run_serve(19, fleets=_open_fleet(128, "aggregate"), **kwargs)
         )
         for _ in range(2)

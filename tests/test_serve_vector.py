@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import units
+from repro.obs import report_json
 from repro.serve.loadgen import FleetSpec, run_serve
-from repro.serve.report import report_to_json
 from repro.serve.tenancy import TenantSpec
 from repro.sim.rng import DeterministicRNG
 
@@ -77,7 +77,7 @@ def test_vectorized_report_byte_identical_to_scalar(monkeypatch):
     scalar = run_serve(
         11, fleets=_aggregate_fleet(), duration_s=8.0, prepopulate=6
     )
-    assert report_to_json(vector) == report_to_json(scalar)
+    assert report_json(vector) == report_json(scalar)
     assert vector["totals"]["ops"] > 0
 
 

@@ -10,7 +10,8 @@ chaos corpus seeds.
 
 import pytest
 
-from repro.serve.xl import report_to_json, run_serve_xl
+from repro.obs import report_json
+from repro.serve.xl import run_serve_xl
 from repro.sim.engine import Delay, Engine, SimulationError
 from repro.sim.shard import ShardedEngine
 
@@ -174,7 +175,7 @@ def test_serve_xl_replay_identical_across_shard_counts(seed):
     )
     single = run_serve_xl(seed=seed, shards=1, **kwargs)
     sharded = run_serve_xl(seed=seed, shards=4, **kwargs)
-    assert report_to_json(single) == report_to_json(sharded)
+    assert report_json(single) == report_json(sharded)
     assert single["totals"]["ops"] > 0
 
 
@@ -183,7 +184,7 @@ def test_serve_xl_report_is_run_deterministic():
                          arrival_rate=15.0, objects_per_rack=8, shards=2)
     second = run_serve_xl(seed=23, racks=3, duration_s=8.0,
                           arrival_rate=15.0, objects_per_rack=8, shards=2)
-    assert report_to_json(first) == report_to_json(second)
+    assert report_json(first) == report_json(second)
 
 
 def test_serve_xl_outages_produce_failures():
